@@ -9,7 +9,7 @@
 namespace cpkcore::cluster {
 
 Replica::Replica(const service::ServiceConfig& like) {
-  reclaimer_ = concurrent::make_reclaimer(like.reclaimer);
+  reclaimer_ = std::make_unique<concurrent::Reclaimer>();
   CPLDS::Options options = like.cplds;
   options.reclaimer = reclaimer_.get();
   ds_ = std::make_unique<CPLDS>(

@@ -110,8 +110,7 @@ class Replica {
   void apply_loop();
 
   /// Declared before ds_ (destroyed after it): per-replica reclaimer
-  /// behind the wait-free read path, built from the primary config's
-  /// `reclaimer` kind.
+  /// behind the wait-free read path.
   std::unique_ptr<concurrent::Reclaimer> reclaimer_;
   std::unique_ptr<CPLDS> ds_;
   LogShipper* shipper_ = nullptr;

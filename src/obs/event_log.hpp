@@ -2,7 +2,7 @@
 //
 // Metrics answer "how much / how fast"; the event journal answers "what
 // happened and when": discrete state transitions — WAL engine degradation,
-// v3→v4 migration, checkpoint begin/end, replica catch-up source switches,
+// checkpoint begin/end, replica catch-up source switches, reclaimer stalls,
 // backpressure episodes, apply-thread errors — as structured records
 // (severity, component, name, key/value fields, monotonic seq) instead of
 // printf lines. Events are *rare* by design; the hot path never emits.

@@ -35,7 +35,7 @@ KCoreService::KCoreService(ServiceConfig config)
   namespace fs = std::filesystem;
   // Per-service reclaimer behind the wait-free read path; wired into the
   // CPLDS options so both the warm (snapshot) and cold paths use it.
-  reclaimer_ = concurrent::make_reclaimer(config_.reclaimer);
+  reclaimer_ = std::make_unique<concurrent::Reclaimer>();
   config_.cplds.reclaimer = reclaimer_.get();
   const bool warm = !config_.snapshot_path.empty() &&
                     fs::exists(config_.snapshot_path);
@@ -64,7 +64,6 @@ KCoreService::KCoreService(ServiceConfig config)
     // single-driver contract.
     WalOptions wal_options;
     wal_options.durability = config_.wal_durability;
-    wal_options.format = config_.wal_format;
     wal_options.engine = config_.wal_engine;
     wal_options.health = config_.health;
     wal_options.health_prefix = config_.health_prefix;
@@ -75,14 +74,6 @@ KCoreService::KCoreService(ServiceConfig config)
         wal_options);
     stats_.replayed_batches = info.replayed;
     wal_engine_kind_ = info.engine;
-    if (info.migrated) {
-      obs::EventLog::instance().emit(
-          obs::Severity::kInfo, event_component(config_, "wal"),
-          "wal_migrated",
-          {{"format", "v4"},
-           {"replayed", std::to_string(info.replayed)},
-           {"last_lsn", std::to_string(info.last_lsn)}});
-    }
     // The engine the config asked for vs the one that actually runs: a
     // kIoUring/kAuto intent landing on the flusher means the io_uring
     // probe failed (kernel too old, seccomp, RLIMIT) — operationally
@@ -453,13 +444,9 @@ std::size_t KCoreService::run_cycle() {
   for (std::size_t i = 0; i < batches.size(); ++i) lsns.push_back(++next_lsn_);
   // Encode-once: each committed batch becomes one WalFrame here, and those
   // exact bytes serve both the WAL append below and the commit listener —
-  // no consumer re-serializes. (A text WAL is the one exception: it writes
-  // its own line format, and frames are built only if a listener needs
-  // them.)
-  const bool binary_wal =
-      wal_.is_open() && wal_.format() == WalFormat::kBinaryV4;
+  // no consumer re-serializes.
   std::vector<WalFramePtr> frames;
-  if (binary_wal || commit_listener_ != nullptr) {
+  if (wal_.is_open() || commit_listener_ != nullptr) {
     frames.reserve(batches.size());
     for (std::size_t i = 0; i < batches.size(); ++i) {
       frames.push_back(WalFrame::encode(lsns[i], batches[i]));
@@ -485,13 +472,7 @@ std::size_t KCoreService::run_cycle() {
     {
       CPKC_TRACE_SPAN(wal_span, "wal_submit",
                       lsns.empty() ? 0 : lsns.back(), batches.size());
-      if (binary_wal) {
-        for (const WalFramePtr& frame : frames) wal_.append(*frame);
-      } else {
-        for (std::size_t i = 0; i < batches.size(); ++i) {
-          wal_.append(lsns[i], batches[i]);
-        }
-      }
+      for (const WalFramePtr& frame : frames) wal_.append(*frame);
       if (async_wal) {
         wal_.commit_async();
       } else {

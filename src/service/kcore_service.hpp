@@ -113,12 +113,6 @@ struct ServiceConfig {
   int levels_per_group_cap = kDefaultLevelsPerGroupCap;
   CPLDS::Options cplds{};
 
-  /// Memory-reclamation scheme behind the wait-free read path. The service
-  /// owns one Reclaimer per instance (never the process-global one) and
-  /// wires it into the CPLDS. kAuto honors the CPKC_RECLAIMER env override
-  /// ("epoch" / "ebr" / "qsbr") and defaults to epoch-based.
-  concurrent::ReclaimerKind reclaimer = concurrent::ReclaimerKind::kAuto;
-
   /// Ingest shards. More shards = less submit contention.
   std::size_t num_shards = 8;
 
@@ -130,10 +124,6 @@ struct ServiceConfig {
   std::string wal_path;
   std::string snapshot_path;
   WalDurability wal_durability = WalDurability::kOsCache;
-  /// WAL format for fresh logs; an existing v3 log is migrated to v4 on
-  /// open when this is kBinaryV4 (the default), or kept text when kTextV3
-  /// (the benchmark baseline).
-  WalFormat wal_format = WalFormat::kBinaryV4;
   /// WAL commit engine. kAuto (the default) probes for io_uring and falls
   /// back to the flusher thread, honoring the CPKC_WAL_ENGINE env override
   /// (kAuto only — a pinned engine stays pinned); kSync restores the
@@ -446,6 +436,7 @@ class KCoreService {
   ServiceConfig config_;
   /// Declared before ds_: the CPLDS destructor may still reference its
   /// reclaimer, and retired views are freed by the reclaimer's destructor.
+  /// One per service (never the process-global one).
   std::unique_ptr<concurrent::Reclaimer> reclaimer_;
   std::unique_ptr<CPLDS> ds_;
   WriteAheadLog wal_;

@@ -739,7 +739,10 @@ WalEngineKind resolve_wal_engine(WalEngine requested) {
     // The env override applies ONLY to kAuto: a caller that pinned an
     // engine explicitly (tests, tools) stays pinned while CI forces, e.g.,
     // CPKC_WAL_ENGINE=flusher across every auto-configured service.
-    if (const char* env = std::getenv("CPKC_WAL_ENGINE")) {
+    // An empty value counts as unset (CI exports it empty on unpinned
+    // legs); "auto" falls through to the probe, anything else is an error.
+    if (const char* env = std::getenv("CPKC_WAL_ENGINE");
+        env != nullptr && *env != '\0') {
       if (std::strcmp(env, "sync") == 0) return WalEngineKind::kSync;
       if (std::strcmp(env, "flusher") == 0) return WalEngineKind::kFlusher;
       if (std::strcmp(env, "io_uring") == 0 ||
@@ -747,7 +750,11 @@ WalEngineKind resolve_wal_engine(WalEngine requested) {
         return io_uring_engine_available() ? WalEngineKind::kIoUring
                                            : WalEngineKind::kFlusher;
       }
-      // "auto" (or anything unrecognized) falls through to the probe.
+      if (std::strcmp(env, "auto") != 0) {
+        throw std::invalid_argument(
+            std::string("unknown CPKC_WAL_ENGINE value: '") + env +
+            "' (expected sync, flusher, io_uring, uring or auto)");
+      }
     }
     return io_uring_engine_available() ? WalEngineKind::kIoUring
                                        : WalEngineKind::kFlusher;

@@ -88,8 +88,9 @@ enum class WalEngineKind { kSync, kFlusher, kIoUring };
 
 /// Maps a requested engine to the one that will run. kAuto honors the
 /// CPKC_WAL_ENGINE environment override ("sync" | "flusher" | "io_uring" |
-/// "auto") — only kAuto, so a test or tool that pins an engine explicitly
-/// stays pinned while CI forces, e.g., the flusher fallback fleet-wide.
+/// "auto"; empty = unset; anything else throws std::invalid_argument) —
+/// only kAuto, so a test or tool that pins an engine explicitly stays
+/// pinned while CI forces, e.g., the flusher fallback fleet-wide.
 /// kIoUring (requested or resolved) degrades to kFlusher when the probe
 /// fails.
 [[nodiscard]] WalEngineKind resolve_wal_engine(WalEngine requested);

@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) with a compile-time
-// table. Used by the write-ahead log to checksum each record so replay can
+// table. Used by the WAL frame codec to checksum each frame so replay can
 // distinguish a torn/corrupted tail from committed data.
 #pragma once
 
@@ -36,21 +36,6 @@ class Crc32 {
       c = detail::kCrc32Table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
     }
     state_ = c;
-  }
-
-  void update_u8(std::uint8_t v) { update(&v, sizeof v); }
-  /// Integers are fed in a fixed (little-endian) byte order so checksums
-  /// are portable across hosts.
-  void update_u32(std::uint32_t v) {
-    const unsigned char b[4] = {
-        static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
-        static_cast<unsigned char>(v >> 16),
-        static_cast<unsigned char>(v >> 24)};
-    update(b, sizeof b);
-  }
-  void update_u64(std::uint64_t v) {
-    update_u32(static_cast<std::uint32_t>(v));
-    update_u32(static_cast<std::uint32_t>(v >> 32));
   }
 
   [[nodiscard]] std::uint32_t value() const { return ~state_; }

@@ -1,6 +1,6 @@
 // Serving-layer tests: concurrent multi-client submission, ticket
 // acknowledgment ordering, WAL group-commit replay after simulated crashes
-// (both sides of the commit marker), snapshot compaction equivalence, and
+// (torn, corrupt and foreign logs), snapshot compaction equivalence, and
 // concurrent readers through all three ReadModes while submitters run.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -8,10 +8,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,7 +33,6 @@ using service::KCoreService;
 using service::ServiceConfig;
 using service::Ticket;
 using service::WalDurability;
-using service::WalFormat;
 using service::WalOptions;
 using service::WriteAheadLog;
 
@@ -254,120 +257,65 @@ TEST(Service, CrashDropsPendingUnackedOps) {
   svc.shutdown();
 }
 
-TEST(Service, WalDiscardsUncommittedTail) {
-  // Kill *before* group commit: hand-craft a log whose last batch lacks its
-  // commit marker; replay must keep the committed prefix only, and the log
-  // must stay appendable afterwards.
-  TempPath wal("tail.wal");
-  {
-    const UpdateBatch committed{UpdateKind::kInsert, {{1, 2}, {2, 3}}};
-    std::ofstream out(wal.str());
-    out << "cpkcore-wal-v3\n100 0\n";
-    out << "B I 2 1\n1 2\n2 3\nC 2 1 "
-        << service::wal_record_crc(1, committed) << "\n";
-    out << "B I 3 2\n3 4\n4 5\n";  // crash: no commit marker
-  }
-  std::vector<UpdateBatch> replayed;
-  std::vector<std::uint64_t> lsns;
-  WriteAheadLog log;
-  const auto info = log.open(wal.str(), 100,
-                             [&](std::uint64_t lsn, const UpdateBatch& b) {
-                               lsns.push_back(lsn);
-                               replayed.push_back(b);
-                             });
-  EXPECT_EQ(info.replayed, 1u);
-  EXPECT_EQ(info.last_lsn, 1u);
-  // Opened under the default (binary) format, the v3 prefix was migrated.
-  EXPECT_TRUE(info.migrated);
-  EXPECT_EQ(info.format, WalFormat::kBinaryV4);
-  ASSERT_EQ(replayed.size(), 1u);
-  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1}));
-  EXPECT_EQ(replayed[0].edges,
-            (std::vector<Edge>{{1, 2}, {2, 3}}));
-
-  // Append a committed batch past the truncation point and re-open.
-  log.append(2, UpdateBatch{UpdateKind::kDelete, {{1, 2}}});
-  log.flush();
-  log.close();
-  replayed.clear();
-  lsns.clear();
-  WriteAheadLog reopened;
-  EXPECT_EQ(reopened
-                .open(wal.str(), 100,
-                      [&](std::uint64_t lsn, const UpdateBatch& b) {
-                        lsns.push_back(lsn);
-                        replayed.push_back(b);
-                      })
-                .replayed,
-            2u);
-  ASSERT_EQ(replayed.size(), 2u);
-  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1, 2}));
-  EXPECT_EQ(replayed[1].kind, UpdateKind::kDelete);
-  EXPECT_EQ(replayed[1].edges, (std::vector<Edge>{{1, 2}}));
-}
-
-TEST(Service, WalChecksumTruncatesCorruptTail) {
-  // Bit rot / torn write in a *v3 text* log's last record: the payload
-  // still parses (valid numbers, marker present), but the recomputed CRC no
-  // longer matches the stored one — the record must be dropped exactly like
-  // an uncommitted tail. The default-format reopen then migrates the
-  // surviving prefix to v4, so this also covers migration of a log whose
-  // tail rotted.
-  TempPath wal("crc.wal");
-  WalOptions text;
-  text.durability = WalDurability::kOsCache;
-  text.format = WalFormat::kTextV3;
-  {
-    WriteAheadLog log;
-    log.open(wal.str(), 100, nullptr, text);
-    log.append(1, UpdateBatch{UpdateKind::kInsert, {{1, 2}, {2, 3}}});
-    log.append(2, UpdateBatch{UpdateKind::kInsert, {{3, 4}}});
-    log.flush();
-    log.close();
-  }
-  {
-    // Corrupt record 2's edge payload ("3 4" occurs only there).
-    std::ifstream in(wal.str());
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    const std::size_t at = contents.find("3 4\n");
-    ASSERT_NE(at, std::string::npos);
-    contents[at + 2] = '5';
-    std::ofstream out(wal.str(), std::ios::trunc);
-    out << contents;
-  }
-  // Both readers agree: the committed prefix ends before the rotted record.
-  const auto scanned = service::scan_wal(wal.str(), 100, nullptr);
-  EXPECT_EQ(scanned.records, 1u);
-  EXPECT_EQ(scanned.last_lsn, 1u);
-  EXPECT_EQ(scanned.format, WalFormat::kTextV3);
-  std::size_t replayed_count = 0;
-  WriteAheadLog log;
-  const auto info = log.open(
-      wal.str(), 100,
-      [&](std::uint64_t, const UpdateBatch&) { ++replayed_count; });
-  EXPECT_EQ(info.replayed, 1u);
-  EXPECT_EQ(info.last_lsn, 1u);
-  EXPECT_EQ(replayed_count, 1u);
-  EXPECT_TRUE(info.migrated);
-  EXPECT_EQ(info.format, WalFormat::kBinaryV4);
-  // The corrupt tail did not survive migration: LSN 2 is free again and the
-  // (now binary) log keeps working.
-  log.append(2, UpdateBatch{UpdateKind::kDelete, {{1, 2}}});
-  log.flush();
-  log.close();
-  WriteAheadLog reopened;
-  EXPECT_EQ(reopened.open(wal.str(), 100, nullptr).replayed, 2u);
-}
-
 TEST(Service, WalRejectsMismatchedVertexCount) {
+  // A real log written at n=100 must not replay into an n=200 structure.
   TempPath wal("mismatch.wal");
   {
-    std::ofstream out(wal.str());
-    out << "cpkcore-wal-v3\n100 0\n";
+    WriteAheadLog log;
+    log.open(wal.str(), 100, nullptr);
+    log.append(1, UpdateBatch{UpdateKind::kInsert, {{1, 2}}});
+    log.flush();
   }
-  WriteAheadLog log;
-  EXPECT_THROW(log.open(wal.str(), 200, nullptr), std::runtime_error);
+  try {
+    WriteAheadLog log;
+    log.open(wal.str(), 200, nullptr);
+    ADD_FAILURE() << "open at a different vertex count did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("vertex count mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(Service, WalRejectsForeignHeaderWithoutTouchingFile) {
+  // A non-empty file that is not a v4 log — a leftover pre-v4 text log, or
+  // plain garbage — is rejected by every reader, and nothing rewrites,
+  // truncates or migrates it: it may be evidence, or the wrong file.
+  TempPath text("foreign_v3.wal");
+  TempPath noise("foreign_noise.wal");
+  {
+    std::ofstream out(text.str(), std::ios::binary);
+    out << "cpkcore-wal-v3\n100 0\n"
+        << "B I 2 1\n1 2\n2 3\nC 2 1 12345\n"
+        << "B D 1 2\n1 2\nC 1 2 67890\n";
+  }
+  {
+    Xoshiro256 rng(4242);
+    std::ofstream out(noise.str(), std::ios::binary);
+    for (int i = 0; i < 512; ++i) {
+      out.put(static_cast<char>(rng.next_below(256)));
+    }
+  }
+  for (const std::string& path : {text.str(), noise.str()}) {
+    const std::string before = file_bytes(path);
+    ASSERT_FALSE(before.empty());
+    WriteAheadLog log;
+    EXPECT_THROW(log.open(path, 100, nullptr), std::runtime_error) << path;
+    EXPECT_FALSE(log.is_open());
+    EXPECT_THROW(static_cast<void>(service::scan_wal(path, 100, nullptr)),
+                 std::runtime_error)
+        << path;
+    EXPECT_THROW(static_cast<void>(service::read_wal_header(path)),
+                 std::runtime_error)
+        << path;
+    EXPECT_EQ(file_bytes(path), before) << path << " was modified";
+  }
 }
 
 TEST(Service, WalTreatsEmptyFileAsFresh) {
@@ -398,7 +346,6 @@ TEST(Service, WalTreatsEmptyFileAsFresh) {
 std::uintmax_t write_two_record_binary_log(const std::string& path) {
   WriteAheadLog log;
   log.open(path, 100, nullptr);
-  EXPECT_EQ(log.format(), WalFormat::kBinaryV4);
   log.append(1, UpdateBatch{UpdateKind::kInsert, {{1, 2}, {2, 3}}});
   log.flush();
   const std::uintmax_t boundary = std::filesystem::file_size(path);
@@ -408,8 +355,8 @@ std::uintmax_t write_two_record_binary_log(const std::string& path) {
   return boundary;
 }
 
-/// The v3 truncate-and-resume contract, asserted against a damaged binary
-/// log: both readers agree the committed prefix is record 1 only, the open
+/// The truncate-and-resume contract, asserted against a damaged log: both
+/// readers agree the committed prefix is record 1 only, the open
 /// truncates the damage away, LSN 2 is reusable, and the log keeps working.
 void expect_truncates_to_first_record(const std::string& path) {
   const auto scanned = service::scan_wal(path, 100, nullptr);
@@ -467,46 +414,6 @@ TEST(Service, WalBinaryBitFlipTruncatesCorruptTail) {
     f.put(static_cast<char>(byte ^ 0x20));
   }
   expect_truncates_to_first_record(wal.str());
-}
-
-TEST(Service, V3ServiceMigratesToV4WithIdenticalCoreness) {
-  // Warm-restart an "old deployment" (a service that wrote the v3 text
-  // format) into the v4 world: the first restart replays the text log and
-  // atomically rewrites it as v4; coreness must be identical before the
-  // crash, after the migrating restart, and after a second restart that
-  // replays the migrated binary log.
-  TempPath wal("migrate.wal");
-  constexpr vertex_t kN = 300;
-  const auto edges = gen::barabasi_albert(kN, 4, 23);
-  std::vector<double> before(kN);
-  {
-    ServiceConfig cfg;
-    cfg.num_vertices = kN;
-    cfg.wal_path = wal.str();
-    cfg.wal_format = WalFormat::kTextV3;
-    KCoreService svc(cfg);
-    for (const Edge& e : edges) svc.submit_insert(e.u, e.v);
-    svc.drain();
-    for (vertex_t v = 0; v < kN; ++v) before[v] = svc.read_coreness(v);
-    svc.simulate_crash();
-  }
-  ASSERT_EQ(service::read_wal_header(wal.str()).format, WalFormat::kTextV3);
-  for (int restart = 0; restart < 2; ++restart) {
-    ServiceConfig cfg;
-    cfg.num_vertices = kN;
-    cfg.wal_path = wal.str();
-    KCoreService svc(cfg);
-    EXPECT_GT(svc.stats().replayed_batches, 0u);
-    for (vertex_t v = 0; v < kN; ++v) {
-      ASSERT_EQ(svc.read_coreness(v), before[v]) << "vertex " << v;
-    }
-    std::string why;
-    EXPECT_TRUE(svc.cplds().plds().validate(&why)) << why;
-    svc.simulate_crash();
-    // The text log became binary on the first restart and stays binary.
-    EXPECT_EQ(service::read_wal_header(wal.str()).format,
-              WalFormat::kBinaryV4);
-  }
 }
 
 TEST(Service, TinyBudgetManyShardsDrainsFairly) {
@@ -657,6 +564,59 @@ TEST(Service, WalEngineProbeLogsSelection) {
   } else {
     EXPECT_EQ(uring_kind, service::WalEngineKind::kFlusher);
   }
+}
+
+TEST(Service, WalEngineEnvRejectsUnknownValue) {
+  // CPKC_WAL_ENGINE steers kAuto only. An unknown value is a configuration
+  // error, never a silent fallback; an empty value counts as unset.
+  struct EnvRestore {
+    std::optional<std::string> saved;
+    EnvRestore() {
+      if (const char* v = std::getenv("CPKC_WAL_ENGINE")) saved = v;
+    }
+    ~EnvRestore() {
+      if (saved) {
+        ::setenv("CPKC_WAL_ENGINE", saved->c_str(), 1);
+      } else {
+        ::unsetenv("CPKC_WAL_ENGINE");
+      }
+    }
+  } restore;
+  const service::WalEngineKind probed =
+      service::io_uring_engine_available() ? service::WalEngineKind::kIoUring
+                                           : service::WalEngineKind::kFlusher;
+  const auto resolve_auto = [] {
+    return service::resolve_wal_engine(service::WalEngine::kAuto);
+  };
+
+  ::setenv("CPKC_WAL_ENGINE", "bogus-engine", 1);
+  try {
+    static_cast<void>(resolve_auto());
+    ADD_FAILURE() << "unknown CPKC_WAL_ENGINE value was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bogus-engine"), std::string::npos)
+        << e.what();
+  }
+  // A pinned engine ignores the variable, even a bad one.
+  EXPECT_EQ(service::resolve_wal_engine(service::WalEngine::kSync),
+            service::WalEngineKind::kSync);
+  // A service on the default (kAuto) engine refuses to start, before it
+  // creates its log.
+  TempPath wal("bad_engine.wal");
+  ServiceConfig cfg;
+  cfg.num_vertices = 10;
+  cfg.wal_path = wal.str();
+  EXPECT_THROW(KCoreService svc(cfg), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(wal.str()));
+
+  ::setenv("CPKC_WAL_ENGINE", "", 1);
+  EXPECT_EQ(resolve_auto(), probed);
+  ::setenv("CPKC_WAL_ENGINE", "auto", 1);
+  EXPECT_EQ(resolve_auto(), probed);
+  ::setenv("CPKC_WAL_ENGINE", "sync", 1);
+  EXPECT_EQ(resolve_auto(), service::WalEngineKind::kSync);
+  ::unsetenv("CPKC_WAL_ENGINE");
+  EXPECT_EQ(resolve_auto(), probed);
 }
 
 TEST(Service, AsyncCrashReplayRestoresAckedOpsAllDurabilities) {
@@ -820,6 +780,20 @@ TEST(Service, WalScanReportsCommittedBytes) {
   EXPECT_EQ(torn.records, clean.records);
   EXPECT_EQ(torn.committed_bytes, clean.committed_bytes);
   EXPECT_LT(torn.committed_bytes, std::filesystem::file_size(wal.str()));
+
+  // read_wal_header decodes the header alone, whatever follows it.
+  EXPECT_EQ(service::read_wal_header(wal.str()).num_vertices, kN);
+  EXPECT_EQ(service::read_wal_header(wal.str()).base_lsn, 0u);
+  {
+    WriteAheadLog log;
+    log.open(wal.str(), kN, nullptr);  // truncates the garbage tail
+    log.compact(clean.last_lsn - 1);
+  }
+  const service::WalHeaderInfo compacted =
+      service::read_wal_header(wal.str());
+  EXPECT_EQ(compacted.num_vertices, kN);
+  EXPECT_EQ(compacted.base_lsn, clean.last_lsn - 1);
+  EXPECT_EQ(service::scan_wal(wal.str(), kN, nullptr).records, 1u);
 }
 
 TEST(Service, AdaptiveBatchSizerBacksOffOnAckLag) {
