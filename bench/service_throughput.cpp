@@ -30,14 +30,9 @@
 //   CPKC_CLUSTER_WRITERS   writer threads in the replica sweep (default 2)
 //   CPKC_WAL_DURABILITY    "os_cache" | "fdatasync" | "fsync": per-commit
 //                          durability level (default: ServiceConfig's).
-//   CPKC_WAL_ENGINE        consumed by the service layer itself (see
-//                          wal_async.hpp): "sync" pins the synchronous
-//                          commit path, "flusher"/"io_uring" pin an async
-//                          engine, unset/empty/"auto" probes, anything else
-//                          is an error. Every JSON line
-//                          reports which engine actually ran (wal_engine)
-//                          plus the flush-pipeline counters, so the
-//                          sync-vs-async comparison is self-describing.
+//                          Every JSON line reports the WAL flusher's
+//                          pipeline counters (wal_engine is "flusher" with a
+//                          WAL, "none" without).
 //
 // Flight recorder (see src/obs/):
 //   --sample PATH / CPKC_SAMPLE_JSON   stream MetricsRegistry snapshots to

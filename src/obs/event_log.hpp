@@ -1,11 +1,12 @@
 // EventLog — the structured event journal of the health plane.
 //
 // Metrics answer "how much / how fast"; the event journal answers "what
-// happened and when": discrete state transitions — WAL engine degradation,
-// checkpoint begin/end, replica catch-up source switches, reclaimer stalls,
-// backpressure episodes, apply-thread errors — as structured records
-// (severity, component, name, key/value fields, monotonic seq) instead of
-// printf lines. Events are *rare* by design; the hot path never emits.
+// happened and when": discrete state transitions — WAL compactions and
+// failures, checkpoint begin/end, replica catch-up source switches,
+// reclaimer stalls, backpressure episodes, apply-thread errors — as
+// structured records (severity, component, name, key/value fields,
+// monotonic seq) instead of printf lines. Events are *rare* by design; the
+// hot path never emits.
 //
 //   emit site ──emit(sev, component, name, fields)──▶ EventLog
 //       │                                               │ in-memory ring

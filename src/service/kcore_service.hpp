@@ -30,24 +30,23 @@
 //    where the log left off. checkpoint() compacts by streaming a snapshot
 //    from a consistent cut, pausing updates only to copy the edge set and
 //    to swap in the compacted WAL.
-//  * Pipelined commit (ServiceConfig::wal_engine): with an async WAL engine
-//    the cycle splits into *applied* (CPLDS mutated, frame staged to the
-//    engine and — at ShipPoint::kApplied — handed to the shipper) and
-//    *durable* (the engine's watermark reached the cycle's last LSN). At
-//    kOsCache tickets still ack at applied; at the sync levels the ack, the
+//  * Pipelined commit: with a WAL the cycle splits into *applied* (CPLDS
+//    mutated, frame staged to the WAL flusher and — at ShipPoint::kApplied
+//    — handed to the shipper) and *durable* (the flusher's watermark
+//    reached the cycle's last LSN). At every durability level the ack, the
 //    commit-LSN advance, and (at ShipPoint::kDurable) the shipping are
-//    deferred to the watermark via the engine's completion callback — so
+//    deferred to the watermark via the flusher's completion callback — so
 //    cycle N+1 applies while cycle N's flush is in flight, and no ack ever
 //    precedes its durability point. The committed-prefix replay guarantee
 //    is unchanged: replay truncates to what actually hit the disk.
-//  * Encode-once: with a binary WAL and/or a commit listener, the apply
-//    thread encodes each committed batch into a WalFrame exactly once; the
-//    WAL appends those bytes and the listener (the cluster layer's log
+//  * Encode-once: with a WAL and/or a commit listener, the apply thread
+//    encodes each committed batch into a WalFrame exactly once; the WAL
+//    appends those bytes and the listener (the cluster layer's log
 //    shipper) receives the same frame by shared_ptr.
 //  * Acknowledgment: a ticket is acked once its drain cycle has been
-//    logged and applied; ops that coalesce into no-ops (duplicates,
-//    self-loops, already-present edges) ack like any other. Per-shard acks
-//    are monotone in submission order.
+//    applied and (with a WAL) made durable; ops that coalesce into no-ops
+//    (duplicates, self-loops, already-present edges) ack like any other.
+//    Per-shard acks are monotone in submission order.
 //  * Reads: any thread, at any time, through all three ReadModes.
 //
 // Durability is one-way: acked ops always survive restart. An un-acked op
@@ -124,11 +123,6 @@ struct ServiceConfig {
   std::string wal_path;
   std::string snapshot_path;
   WalDurability wal_durability = WalDurability::kOsCache;
-  /// WAL commit engine. kAuto (the default) probes for io_uring and falls
-  /// back to the flusher thread, honoring the CPKC_WAL_ENGINE env override
-  /// (kAuto only — a pinned engine stays pinned); kSync restores the
-  /// pre-PR-7 flush-on-the-apply-thread path, the benchmark baseline.
-  WalEngine wal_engine = WalEngine::kAuto;
   /// Where committed batches are handed to the commit listener.
   ShipPoint ship_at = ShipPoint::kApplied;
 
@@ -156,7 +150,7 @@ struct ServiceConfig {
   /// Health plane (optional): with a monitor set, the service registers
   /// the apply thread's heartbeat as "<health_prefix>apply" (idle while
   /// parked on the ingest cv, beaten per drain cycle), passes the monitor
-  /// through to the WAL for its engine-thread heartbeat, and — when the
+  /// through to the WAL for its flusher-thread heartbeat, and — when the
   /// divergence thresholds below are nonzero — registers a value probe
   /// "<health_prefix>wal_divergence" sampling applied_lsn - durable_lsn
   /// (how far acked-side progress has run ahead of the disk). Null =
@@ -179,7 +173,7 @@ struct Ticket {
 /// Counters and latency histograms, snapshot via KCoreService::stats().
 struct ServiceStats {
   std::uint64_t submitted_ops = 0;   ///< ops accepted by submit()
-  std::uint64_t acked_ops = 0;       ///< ops acknowledged (logged + applied)
+  std::uint64_t acked_ops = 0;       ///< ops acknowledged (durable + applied)
   std::uint64_t applied_edges = 0;   ///< edges the CPLDS actually applied
   std::uint64_t batches = 0;         ///< homogeneous batches applied
   std::uint64_t cycles = 0;          ///< drain cycles (= group commits)
@@ -191,17 +185,17 @@ struct ServiceStats {
   std::uint64_t durable_lsn = 0;     ///< WAL durable watermark
   double apply_seconds = 0.0;        ///< total time inside CPLDS::apply
   std::size_t batch_budget = 0;      ///< current adaptive per-cycle budget
-  std::uint64_t wal_flushes = 0;     ///< completed WAL flushes (engine+sync)
+  std::uint64_t wal_flushes = 0;     ///< completed WAL flusher swaps
   std::uint64_t wal_flush_bytes = 0;  ///< bytes those flushes made durable
-  std::size_t wal_flush_depth = 0;   ///< gauge: commits in the engine queue
+  std::size_t wal_flush_depth = 0;   ///< gauge: commits in the flusher queue
   std::size_t wal_inflight_bytes = 0;  ///< gauge: bytes of those commits
-  std::string wal_engine = "sync";   ///< resolved engine (wal_engine_name)
+  std::string wal_engine = "none";   ///< "flusher" with a WAL, else "none"
   std::vector<std::size_t> shard_depths;  ///< queue-depth gauge per shard
   LatencyHistogram ack_latency;      ///< submit() -> acknowledgment, ns
   LatencyHistogram apply_latency;    ///< per-batch CPLDS::apply, ns
-  /// submit() -> applied-to-the-CPLDS, ns: the ack-vs-apply split. With a
-  /// sync WAL the two histograms coincide; with an async engine at a sync
-  /// durability level the gap between them is the durability pipeline.
+  /// submit() -> applied-to-the-CPLDS, ns: the ack-vs-apply split. Without
+  /// a WAL the two histograms coincide; with one the gap between them is
+  /// the durability pipeline.
   LatencyHistogram applied_latency;
   /// applied -> acked per cycle, ns: how long acks trailed the apply while
   /// the flush was in flight (~0 when acks are inline).
@@ -277,16 +271,16 @@ class KCoreService {
   /// already shipped as of registration: every batch with a higher LSN
   /// will be delivered, every batch at or below it will not. Depending on
   /// ServiceConfig::ship_at the listener runs on the apply thread (cycle
-  /// lock held) or on the durability engine's completion thread: it must
+  /// lock held) or on the WAL flusher thread: it must
   /// be fast and must not call back into this service.
   std::uint64_t set_commit_listener(CommitListener listener);
 
   /// Last group-committed / last applied LSN. On the primary, every acked
   /// write's LSN is <= applied_lsn() from the moment the ack is observable,
-  /// so primary reads always satisfy read-your-writes. At the sync
-  /// durability levels commit_lsn() advances at the durable watermark (an
-  /// async engine may leave it trailing applied_lsn() while a flush is in
-  /// flight); at kOsCache it advances when the cycle stages its bytes.
+  /// so primary reads always satisfy read-your-writes. With a WAL,
+  /// commit_lsn() advances at the durable watermark (it may trail
+  /// applied_lsn() while a flush is in flight); without one, when the
+  /// cycle applies.
   [[nodiscard]] std::uint64_t commit_lsn() const {
     return commit_lsn_.load(std::memory_order_acquire);
   }
@@ -295,12 +289,11 @@ class KCoreService {
   }
 
   /// The WAL durable watermark: every record at or below it completed the
-  /// configured durability level (= commit_lsn() without a WAL or at
-  /// kOsCache).
+  /// configured durability level (= commit_lsn() without a WAL).
   [[nodiscard]] std::uint64_t durable_lsn() const;
 
   /// Blocks until the WAL watermark covers `lsn` (clamped to what has been
-  /// staged). Returns false when it cannot get there — engine failure or
+  /// staged). Returns false when it cannot get there — flusher failure or
   /// shutdown; callers treat that as "proceed and let the read-side error
   /// paths report the shortfall". Used by the cluster layer's disk
   /// catch-up, which must not scan the log for bytes still in flight.
@@ -400,8 +393,8 @@ class KCoreService {
   };
 
   /// One drained cycle's deferred-ack state, queued until the WAL durable
-  /// watermark covers upto_lsn (sync durability levels with an async
-  /// engine); acked inline otherwise.
+  /// watermark covers upto_lsn; acked inline when it already does (or
+  /// there is no WAL).
   struct PendingCycle {
     std::uint64_t upto_lsn = 0;   ///< durable once the watermark reaches it
     std::uint64_t cycle_lsn = 0;  ///< LSN the cycle's ops ack at
@@ -421,10 +414,9 @@ class KCoreService {
   /// One drain-coalesce-log-apply-ack cycle; returns ops processed.
   std::size_t run_cycle();
   void stop(bool drain_first);
-  /// Durability-engine completion callback (runs on its completion thread):
-  /// advances commit_lsn_ at the sync levels and delivers every pending
-  /// cycle the watermark now covers; an error fails the service like an
-  /// apply-thread error.
+  /// WAL flusher completion callback (runs on the flusher thread):
+  /// advances commit_lsn_ and delivers every pending cycle the watermark
+  /// now covers; an error fails the service like an apply-thread error.
   void on_durable(std::uint64_t lsn, const std::string* error);
   /// Ships (at ShipPoint::kDurable), records ack stats, and acks one
   /// cycle's shards. Caller holds pending_mu_ — every ack, inline or
@@ -457,18 +449,17 @@ class KCoreService {
 
   // Serializes drain cycles against checkpoint() and listener swaps.
   // Lock order (outer to inner): apply_mu_ > pending_mu_ > ship_mu_ >
-  // stats_mu_ > Shard::mu. The durability completion thread starts at
-  // pending_mu_ and NEVER takes apply_mu_ (shutdown waits out the engine
-  // while holding it).
+  // stats_mu_ > Shard::mu. The WAL flusher thread starts at pending_mu_
+  // and NEVER takes apply_mu_ (shutdown waits out the flusher while
+  // holding it).
   std::mutex apply_mu_;
   /// Written under apply_mu_ + ship_mu_ both; readable under either (the
-  /// apply thread reads it under apply_mu_, the completion thread under
+  /// apply thread reads it under apply_mu_, the flusher thread under
   /// ship_mu_).
   CommitListener commit_listener_;
 
   /// Cycles applied but not yet durable, in commit order (under
-  /// pending_mu_). Non-empty only at the sync durability levels with an
-  /// async engine.
+  /// pending_mu_). Always empty without a WAL.
   std::mutex pending_mu_;
   std::deque<PendingCycle> pending_;
 
@@ -493,7 +484,6 @@ class KCoreService {
   /// thread each cycle and fed to the sizer alongside the ack lag.
   std::atomic<std::uint64_t> replica_lag_signal_{0};
   std::atomic<std::uint64_t> read_p99_signal_{0};
-  WalEngineKind wal_engine_kind_ = WalEngineKind::kSync;  ///< resolved
 
   /// Health plane (config_.health != nullptr): the apply thread's
   /// heartbeat and the staged-vs-durable divergence probe. Tombstoned in

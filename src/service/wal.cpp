@@ -140,9 +140,6 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
                                 const WalReplayFn& on_batch,
                                 WalOptions options) {
   close();
-  // Resolved before any file IO: a bad CPKC_WAL_ENGINE value throws here
-  // without creating or truncating anything.
-  engine_kind_ = resolve_wal_engine(options.engine);
   path_ = path;
   num_vertices_ = num_vertices;
   base_lsn_ = 0;
@@ -150,15 +147,12 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
   buf_.clear();
   size_ = 0;
   prealloc_limit_ = 0;
-  staged_lsn_.store(0, std::memory_order_relaxed);
-  durable_lsn_.store(0, std::memory_order_relaxed);
   acc_flushes_.store(0, std::memory_order_relaxed);
   acc_flushed_bytes_.store(0, std::memory_order_relaxed);
 
   namespace fs = std::filesystem;
   WalOpenInfo info;
-  bool created = false;
-  // A crash inside open()/reset()'s truncate-then-write-header window
+  // A crash inside open()'s create-then-write-header window
   // leaves an existing zero-byte file; treat it as fresh rather than
   // bricking every subsequent restart. A *non-empty* file with a bad
   // header still throws — that is corruption (or the wrong file), and
@@ -184,44 +178,46 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
     fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                  0644);
     if (fd_ < 0) throw std::runtime_error("cannot create WAL: " + path);
-    created = true;
-    append_wal_header_v4(buf_, num_vertices_, base_lsn_);
+    write_header();
   }
   prealloc_limit_ = size_;
-  const std::uint64_t start_lsn = info.replayed > 0 ? info.last_lsn : base_lsn_;
-  staged_lsn_.store(start_lsn, std::memory_order_relaxed);
-  // flush() below runs in sync mode (the engine starts after it), so the
-  // header/truncation point is on disk before the engine takes the fd over.
-  flush();
-  // A freshly-created file only survives power failure once its directory
-  // entry is durable too; at the sync durability levels, close that window
-  // here.
-  if (created && options_.durability != WalDurability::kOsCache) {
-    sync_parent_dir();
-  }
-  start_engine();
-  info.engine = engine_kind_;
+  staged_lsn_.store(info.last_lsn, std::memory_order_relaxed);
+  durable_lsn_.store(info.last_lsn, std::memory_order_relaxed);
+  start_flusher();
   return info;
 }
 
-void WriteAheadLog::start_engine() {
-  if (engine_kind_ == WalEngineKind::kSync) return;
+void WriteAheadLog::write_header() {
+  std::vector<unsigned char> header;
+  append_wal_header_v4(header, num_vertices_, base_lsn_);
+  write_all_fd(fd_, header.data(), header.size(), path_);
+  size_ = header.size();
+  // A fresh header — and the directory entry of a just-created file —
+  // survives power failure only once synced; close that window at the sync
+  // durability levels.
+  if (options_.durability != WalDurability::kOsCache) {
+    if (::fsync(fd_) != 0) {
+      throw std::runtime_error("WAL header fsync failed: " + path_);
+    }
+    sync_parent_dir();
+  }
+}
+
+void WriteAheadLog::start_flusher() {
   if (options_.health != nullptr) {
-    // One heartbeat per engine incarnation, named after what actually
-    // runs; the old handle was tombstoned in stop_engine.
+    // One heartbeat per flusher incarnation; the old handle was
+    // tombstoned in stop_flusher.
     std::string name = options_.health_prefix;
-    name += engine_kind_ == WalEngineKind::kIoUring ? "wal_reaper"
-                                                    : "wal_flusher";
-    engine_heartbeat_ = options_.health->register_thread(
+    name += "wal_flusher";
+    flusher_heartbeat_ = options_.health->register_thread(
         std::move(name), options_.health_partition);
   }
-  std::shared_ptr<WalCommitEngine> engine = make_wal_commit_engine(
-      engine_kind_, path_, options_.durability, size_,
-      staged_lsn_.load(std::memory_order_relaxed), engine_heartbeat_);
-  engine->set_durable_callback(
+  auto flusher = std::make_shared<WalFlusher>(
+      path_, options_.durability, size_,
+      staged_lsn_.load(std::memory_order_relaxed),
       [this](std::uint64_t lsn, const std::string* error) {
         if (error == nullptr) {
-          // Monotone max (a restarted engine re-seeds at the old staged
+          // Monotone max (a restarted flusher re-seeds at the old staged
           // LSN, never below the published watermark).
           std::uint64_t cur = durable_lsn_.load(std::memory_order_relaxed);
           while (cur < lsn && !durable_lsn_.compare_exchange_weak(
@@ -229,48 +225,43 @@ void WriteAheadLog::start_engine() {
                                   std::memory_order_relaxed)) {
           }
         }
-        WalCommitEngine::DurableFn cb;
+        WalFlusher::DurableFn cb;
         {
-          std::lock_guard lock(engine_mu_);
+          std::lock_guard lock(flusher_mu_);
           cb = durable_cb_;
         }
         if (cb) cb(lsn, error);
-      });
-  std::lock_guard lock(engine_mu_);
-  engine_ = std::move(engine);
+      },
+      flusher_heartbeat_);
+  std::lock_guard lock(flusher_mu_);
+  flusher_ = std::move(flusher);
 }
 
-void WriteAheadLog::stop_engine(bool swallow_errors) {
-  std::shared_ptr<WalCommitEngine> engine;
+void WriteAheadLog::stop_flusher(bool swallow_errors) {
+  std::shared_ptr<WalFlusher> flusher;
   {
-    std::lock_guard lock(engine_mu_);
-    engine = std::move(engine_);
-    engine_ = nullptr;
+    std::lock_guard lock(flusher_mu_);
+    flusher = std::move(flusher_);
+    flusher_ = nullptr;
   }
-  if (engine == nullptr) return;
-  // stop() drains and joins with engine_mu_ released: the completion
-  // thread's durable-callback wrapper takes engine_mu_. Fold the stopped
-  // engine's counters + final watermark (its last *good* LSN even on a
-  // failure — never past what actually hit the disk) either way.
+  if (flusher == nullptr) return;
+  // stop() drains and joins with flusher_mu_ released: the flusher
+  // thread's durable-callback wrapper takes flusher_mu_. Fold the stopped
+  // flusher's counters either way. Its watermark needs no folding: every
+  // advance already went through the callback wrapper above.
   const auto fold = [&] {
-    const WalFlushStats s = engine->stats();
+    const WalFlushStats s = flusher->stats();
     acc_flushes_.fetch_add(s.flushes, std::memory_order_relaxed);
     acc_flushed_bytes_.fetch_add(s.flushed_bytes, std::memory_order_relaxed);
-    const std::uint64_t final_lsn = engine->durable_lsn();
-    std::uint64_t cur = durable_lsn_.load(std::memory_order_relaxed);
-    while (cur < final_lsn && !durable_lsn_.compare_exchange_weak(
-                                  cur, final_lsn, std::memory_order_release,
-                                  std::memory_order_relaxed)) {
-    }
-    // The engine thread is joined by stop() on every path (failure
+    // The flusher thread is joined by stop() on every path (failure
     // included), so the heartbeat can be tombstoned here.
-    if (engine_heartbeat_ != nullptr && options_.health != nullptr) {
-      options_.health->unregister(engine_heartbeat_);
-      engine_heartbeat_ = nullptr;
+    if (flusher_heartbeat_ != nullptr && options_.health != nullptr) {
+      options_.health->unregister(flusher_heartbeat_);
+      flusher_heartbeat_ = nullptr;
     }
   };
   try {
-    engine->stop(swallow_errors);
+    flusher->stop(swallow_errors);
   } catch (...) {
     fold();
     throw;
@@ -278,9 +269,9 @@ void WriteAheadLog::stop_engine(bool swallow_errors) {
   fold();
 }
 
-std::shared_ptr<WalCommitEngine> WriteAheadLog::engine_snapshot() const {
-  std::lock_guard lock(engine_mu_);
-  return engine_;
+std::shared_ptr<WalFlusher> WriteAheadLog::flusher_snapshot() const {
+  std::lock_guard lock(flusher_mu_);
+  return flusher_;
 }
 
 void WriteAheadLog::append(const WalFrame& frame) {
@@ -292,64 +283,37 @@ void WriteAheadLog::append(std::uint64_t lsn, const UpdateBatch& batch) {
   append(*WalFrame::encode(lsn, batch));
 }
 
-void WriteAheadLog::write_out(const unsigned char* data, std::size_t len) {
-  write_all_fd(fd_, data, len, path_);
-}
-
 void WriteAheadLog::flush() {
-  if (fd_ < 0) throw std::runtime_error("WAL flush failed: " + path_);
-  const std::shared_ptr<WalCommitEngine> engine = engine_snapshot();
-  if (engine != nullptr) {
-    // Async mode never writes through fd_ (the engine owns the append
-    // frontier): a full flush is submit-everything + wait-for-the-watermark.
-    commit_async();
-    engine->wait_durable(staged_lsn_.load(std::memory_order_acquire));
-    return;
-  }
-  if (!buf_.empty()) {
-    ensure_preallocated(buf_.size());
-    const std::size_t bytes = buf_.size();
-    write_out(buf_.data(), bytes);
-    size_ += bytes;
-    buf_.clear();
-    acc_flushes_.fetch_add(1, std::memory_order_relaxed);
-    acc_flushed_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  sync_data();
-  durable_lsn_.store(staged_lsn_.load(std::memory_order_relaxed),
-                     std::memory_order_release);
+  commit_async();
+  wait_durable(staged_lsn_.load(std::memory_order_acquire));
 }
 
 void WriteAheadLog::commit_async() {
-  if (fd_ < 0) throw std::runtime_error("WAL commit failed: " + path_);
-  const std::shared_ptr<WalCommitEngine> engine = engine_snapshot();
-  if (engine == nullptr) {
-    flush();
-    return;
+  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
+  if (flusher == nullptr) {
+    throw std::runtime_error("WAL commit failed: " + path_ + " is not open");
   }
   if (buf_.empty()) return;
-  // Preallocation goes through fd_ — same inode the engine writes to, so
-  // its extents land ahead of the engine's append frontier all the same.
+  // Preallocation goes through fd_ — same inode the flusher writes to, so
+  // its extents land ahead of the flusher's append frontier all the same.
   ensure_preallocated(buf_.size());
   std::vector<unsigned char> bytes;
   bytes.swap(buf_);
-  size_ += bytes.size();  // staged: the engine owns these offsets now
-  engine->submit(std::move(bytes),
-                 staged_lsn_.load(std::memory_order_relaxed));
+  size_ += bytes.size();  // staged: the flusher owns these offsets now
+  flusher->submit(std::move(bytes),
+                  staged_lsn_.load(std::memory_order_relaxed));
 }
 
 void WriteAheadLog::wait_durable(std::uint64_t lsn) {
   const std::uint64_t staged = staged_lsn_.load(std::memory_order_acquire);
   if (lsn > staged) lsn = staged;
   if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return;
-  const std::shared_ptr<WalCommitEngine> engine = engine_snapshot();
-  if (engine != nullptr) engine->wait_durable(lsn);
-  // Sync mode: the watermark tracks flush(), which the committer owns —
-  // durable < lsn here just means bytes still buffered on their side.
+  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
+  if (flusher != nullptr) flusher->wait_durable(lsn);
 }
 
-void WriteAheadLog::set_durable_callback(WalCommitEngine::DurableFn fn) {
-  std::lock_guard lock(engine_mu_);
+void WriteAheadLog::set_durable_callback(WalFlusher::DurableFn fn) {
+  std::lock_guard lock(flusher_mu_);
   durable_cb_ = std::move(fn);
 }
 
@@ -357,35 +321,15 @@ WalFlushStats WriteAheadLog::flush_stats() const {
   WalFlushStats out;
   out.flushes = acc_flushes_.load(std::memory_order_relaxed);
   out.flushed_bytes = acc_flushed_bytes_.load(std::memory_order_relaxed);
-  const std::shared_ptr<WalCommitEngine> engine = engine_snapshot();
-  if (engine != nullptr) {
-    const WalFlushStats live = engine->stats();
+  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
+  if (flusher != nullptr) {
+    const WalFlushStats live = flusher->stats();
     out.flushes += live.flushes;
     out.flushed_bytes += live.flushed_bytes;
     out.flush_depth = live.flush_depth;
     out.inflight_bytes = live.inflight_bytes;
   }
   return out;
-}
-
-bool WriteAheadLog::async_active() const {
-  return engine_snapshot() != nullptr;
-}
-
-WalEngineKind WriteAheadLog::engine_kind() const {
-  return async_active() ? engine_kind_ : WalEngineKind::kSync;
-}
-
-void WriteAheadLog::sync_data() {
-  if (options_.durability == WalDurability::kFdatasync) {
-    if (::fdatasync(fd_) != 0) {
-      throw std::runtime_error("WAL fdatasync failed: " + path_);
-    }
-  } else if (options_.durability == WalDurability::kFsync) {
-    if (::fsync(fd_) != 0) {
-      throw std::runtime_error("WAL fsync failed: " + path_);
-    }
-  }
 }
 
 void WriteAheadLog::sync_parent_dir() const {
@@ -424,31 +368,11 @@ void WriteAheadLog::ensure_preallocated(std::size_t upcoming) {
 #endif
 }
 
-void WriteAheadLog::reset(std::uint64_t base_lsn) {
-  if (fd_ < 0) throw std::runtime_error("cannot reset WAL: " + path_);
-  // Exclusive rewrite: drain + stop the engine so no in-flight write can
-  // land past the truncation point, restart it at the new frontier below.
-  stop_engine(/*swallow_errors=*/false);
-  if (::ftruncate(fd_, 0) != 0) {
-    throw std::runtime_error("cannot reset WAL: " + path_);
-  }
-  base_lsn_ = base_lsn;
-  buf_.clear();
-  size_ = 0;
-  prealloc_limit_ = 0;
-  append_wal_header_v4(buf_, num_vertices_, base_lsn_);
-  staged_lsn_.store(base_lsn, std::memory_order_relaxed);
-  durable_lsn_.store(base_lsn, std::memory_order_relaxed);
-  flush();
-  if (options_.durability != WalDurability::kOsCache) sync_parent_dir();
-  start_engine();
-}
-
 void WriteAheadLog::compact(std::uint64_t base_lsn) {
-  // Exclusive rewrite (see reset()): drain + stop the engine so the slurp
-  // below sees every submitted byte and replace_file swaps a quiet inode.
-  stop_engine(/*swallow_errors=*/false);
-  flush();  // the scan below must see every appended record
+  // Exclusive rewrite: drain + stop the flusher so the slurp below sees
+  // every appended record and replace_file swaps a quiet inode.
+  flush();
+  stop_flusher(/*swallow_errors=*/false);
   std::vector<unsigned char> image;
   const std::vector<unsigned char> contents = slurp(path_);
   append_wal_header_v4(image, num_vertices_, base_lsn);
@@ -468,31 +392,19 @@ void WriteAheadLog::compact(std::uint64_t base_lsn) {
   base_lsn_ = base_lsn;
   size_ = image.size();
   prealloc_limit_ = size_;
-  start_engine();
+  start_flusher();
 }
 
 void WriteAheadLog::close() {
-  // Best-effort drain of the engine first (destructor path: errors are a
-  // lost cause here; flush()/commit_async() are the throwing paths).
-  stop_engine(/*swallow_errors=*/true);
   if (fd_ < 0) return;
-  // Best-effort final push of buffered records; close() runs from the
-  // destructor, so IO errors are swallowed here (flush() is the throwing
-  // path and every group commit goes through it).
-  if (!buf_.empty()) {
-    const unsigned char* data = buf_.data();
-    std::size_t len = buf_.size();
-    while (len > 0) {
-      const ssize_t n = ::write(fd_, data, len);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      data += n;
-      len -= static_cast<std::size_t>(n);
-    }
-    buf_.clear();
+  // Best-effort: hand any appended-but-uncommitted records to the flusher,
+  // whose stop drains them. close() runs from the destructor, so errors
+  // are a lost cause here (flush()/commit_async() are the throwing paths).
+  try {
+    commit_async();
+  } catch (const std::exception&) {
   }
+  stop_flusher(/*swallow_errors=*/true);
   ::close(fd_);
   fd_ = -1;
 }

@@ -1,7 +1,8 @@
 // Write-ahead log for the serving layer: every coalesced batch is appended
 // (one self-delimiting record per batch) and the whole drain cycle is
-// flushed once — group commit — *before* the batch is applied to the CPLDS,
-// so a restart can replay exactly the committed prefix of accepted work.
+// committed once — group commit — *before* the batch is applied to the
+// CPLDS, so a restart can replay exactly the committed prefix of accepted
+// work.
 //
 // Every batch carries a log sequence number (LSN), assigned monotonically by
 // the service. The LSN is the cluster layer's replication cursor: replicas
@@ -30,8 +31,8 @@
 //              (file length of an append-only log is data, so fdatasync
 //              suffices for the record payload)
 //   kFsync     fsync(2) per group commit — fdatasync plus metadata
-// At those two levels the parent directory is also fsynced on create,
-// reset(), and compact(), so a freshly-created or just-compacted log's
+// At those two levels the parent directory is also fsynced on create
+// and compact(), so a freshly-created or just-compacted log's
 // directory entry itself survives power failure (previously a documented
 // gap: a crash in that window lost the whole file).
 //
@@ -40,17 +41,16 @@
 // so group commits extend into reserved extents instead of paying block
 // allocation on the latency path; logical file size is unaffected.
 //
-// Commit engines (WalOptions::engine — see wal_async.hpp): with kSync the
-// caller's flush() pays the write+sync itself (the pre-PR-7 path, still the
-// default for standalone WriteAheadLog users); with an async engine
-// (flusher thread or io_uring) commit_async() hands the buffered bytes to
-// the engine and returns immediately — the *staged* LSN (everything
-// appended) runs ahead of the *durable* LSN watermark (everything the
-// engine completed), wait_durable() bridges the two, and the durable
-// callback fires as the watermark advances. While an engine is active the
-// log routes every byte through it (the engine owns its own non-O_APPEND
-// fd and explicit offsets); reset()/compact()/close() drain and stop the
-// engine around their exclusive rewrites and restart it after.
+// Commit path (see wal_async.hpp): every open log runs one WalFlusher
+// thread. commit_async() hands the buffered bytes to it and returns at
+// once — the *staged* LSN (everything appended) runs ahead of the
+// *durable* LSN watermark (everything the flusher completed),
+// wait_durable() bridges the two, flush() is commit_async() plus
+// wait_durable(staged), and the durable callback fires as the watermark
+// advances. The flusher owns the append frontier (its own non-O_APPEND fd
+// and explicit offsets); the log's fd only writes the header at
+// create, and compact()/close() drain and stop the flusher around their
+// exclusive rewrites (compact() restarts it after).
 #pragma once
 
 #include <atomic>
@@ -76,16 +76,11 @@ struct WalOptions {
   WalDurability durability = WalDurability::kOsCache;
   /// Preallocation step (bytes) ahead of the append frontier; 0 disables.
   std::size_t preallocate_bytes = std::size_t{4} << 20;
-  /// Commit engine. kSync keeps flush() on the caller; kAuto/kFlusher/
-  /// kIoUring run an async engine behind commit_async() (see wal_async.hpp
-  /// for resolution and the CPKC_WAL_ENGINE override, kAuto only).
-  WalEngine engine = WalEngine::kSync;
 
   /// Health plane (optional): with a monitor set, the log registers a
-  /// heartbeat component for the engine's completion thread (named
-  /// "<health_prefix>wal_flusher" / "...wal_reaper" after the resolved
-  /// engine) each time an engine starts, and tombstones it when the engine
-  /// stops — so a flusher wedged behind a hung disk classifies stalled.
+  /// heartbeat component "<health_prefix>wal_flusher" for the flusher
+  /// thread each time it starts, and tombstones it when the flusher stops
+  /// — so a flusher wedged behind a hung disk classifies stalled.
   obs::HealthMonitor* health = nullptr;
   std::string health_prefix;  ///< usually "" or "p<p>."
   int health_partition = -1;  ///< partition id for rollups (-1 = none)
@@ -100,7 +95,6 @@ using WalFrameFn = std::function<void(const WalFramePtr&)>;
 struct WalOpenInfo {
   std::size_t replayed = 0;      ///< committed batches replayed
   std::uint64_t last_lsn = 0;    ///< last committed LSN (= base_lsn if none)
-  WalEngineKind engine = WalEngineKind::kSync;  ///< resolved commit engine
 };
 
 class WriteAheadLog {
@@ -115,6 +109,7 @@ class WriteAheadLog {
   /// replays every committed batch through `on_batch` (in append order),
   /// truncates any uncommitted tail, and positions for appending; otherwise
   /// (or if the file is empty) creates it with a fresh header (base LSN 0).
+  /// Starts the flusher thread either way.
   /// Throws std::runtime_error on IO errors or a vertex-count / magic
   /// mismatch; a non-empty file with a bad header is never modified.
   WalOpenInfo open(const std::string& path, vertex_t num_vertices,
@@ -132,22 +127,19 @@ class WriteAheadLog {
   /// canonical deduplicated batches).
   void append(std::uint64_t lsn, const UpdateBatch& batch);
 
-  /// Group commit: pushes every appended record to the OS in one write,
-  /// then applies the configured durability level (fdatasync/fsync).
-  /// With an async engine active this degenerates to commit_async() +
-  /// wait_durable(staged) — every appended record is durable on return
-  /// either way. Throws std::runtime_error if the write or sync failed.
+  /// Group commit, waited out: commit_async() + wait_durable(staged) —
+  /// every appended record has reached its durability level on return.
+  /// Throws std::runtime_error if the write or sync failed.
   void flush();
 
-  /// Pipelined group commit: hands the buffered records to the async
-  /// engine and returns without waiting for the disk — the durable-LSN
-  /// watermark advances (and the durable callback fires) when the engine
-  /// completes them. Falls back to flush() when no engine is active. May
-  /// block briefly on engine backpressure; throws after an engine failure.
+  /// Pipelined group commit: hands the buffered records to the flusher
+  /// and returns without waiting for the disk — the durable-LSN watermark
+  /// advances (and the durable callback fires) when the flusher completes
+  /// them. Throws after a flusher failure.
   void commit_async();
 
-  /// Last LSN handed to append() (= durable_lsn() in sync mode after each
-  /// flush; runs ahead of it while async commits are in flight).
+  /// Last LSN handed to append() (= durable_lsn() after flush(); runs
+  /// ahead of it while commits are in flight).
   [[nodiscard]] std::uint64_t staged_lsn() const {
     return staged_lsn_.load(std::memory_order_acquire);
   }
@@ -161,28 +153,17 @@ class WriteAheadLog {
   /// Blocks until durable_lsn() >= min(lsn, staged_lsn()) — the clamp
   /// makes "wait for everything appended so far" spelled wait_durable(~0)
   /// safe. Callable from any thread concurrently with commits. Throws
-  /// std::runtime_error if the engine failed.
+  /// std::runtime_error if the flusher failed.
   void wait_durable(std::uint64_t lsn);
 
-  /// Replaces the durable callback (fires on the engine's completion
-  /// thread, *before* wait_durable waiters wake — see wal_async.hpp; never
-  /// fires in sync mode). Call before the first commit_async().
-  void set_durable_callback(WalCommitEngine::DurableFn fn);
+  /// Replaces the durable callback (fires on the flusher thread, *before*
+  /// wait_durable waiters wake — see wal_async.hpp). Call before the first
+  /// commit_async().
+  void set_durable_callback(WalFlusher::DurableFn fn);
 
-  /// Flush-pipeline counters, accumulated across engine restarts
-  /// (compact()/reset()) and including sync-mode flushes.
+  /// Flush-pipeline counters, accumulated across flusher restarts
+  /// (compact()).
   [[nodiscard]] WalFlushStats flush_stats() const;
-
-  /// True when an async engine owns the flush path.
-  [[nodiscard]] bool async_active() const;
-
-  /// The engine actually running (kSync when none).
-  [[nodiscard]] WalEngineKind engine_kind() const;
-
-  /// Compaction to empty: truncates the log to a header whose base LSN is
-  /// `base_lsn` (the LSN up to which the logical state has been persisted
-  /// elsewhere — core/snapshot). Subsequent appends start at base_lsn + 1.
-  void reset(std::uint64_t base_lsn);
 
   /// Compaction preserving the suffix: atomically rewrites the log so it
   /// holds exactly the committed records with LSN > `base_lsn` over a
@@ -201,17 +182,18 @@ class WriteAheadLog {
   [[nodiscard]] std::uint64_t base_lsn() const { return base_lsn_; }
 
  private:
-  void write_out(const unsigned char* data, std::size_t len);
-  void sync_data();
+  /// Writes a fresh header through fd_ at the (empty) file's start and,
+  /// at the sync durability levels, syncs it and the parent directory.
+  void write_header();
   void sync_parent_dir() const;
   void ensure_preallocated(std::size_t upcoming);
-  /// Builds + starts the configured engine at the current append frontier
-  /// (call only with no bytes in flight: right after open/reset/compact).
-  void start_engine();
-  /// Drains, detaches, and stops the engine, folding its counters into the
-  /// accumulated totals. No-op when none is active.
-  void stop_engine(bool swallow_errors);
-  [[nodiscard]] std::shared_ptr<WalCommitEngine> engine_snapshot() const;
+  /// Starts the flusher at the current append frontier (call only with no
+  /// bytes in flight: right after open/compact).
+  void start_flusher();
+  /// Drains, detaches, and stops the flusher, folding its counters into the
+  /// accumulated totals. No-op when none is running.
+  void stop_flusher(bool swallow_errors);
+  [[nodiscard]] std::shared_ptr<WalFlusher> flusher_snapshot() const;
 
   std::string path_;
   vertex_t num_vertices_ = 0;
@@ -222,23 +204,21 @@ class WriteAheadLog {
   std::uint64_t size_ = 0;  ///< logical file size (flushed + staged bytes)
   std::uint64_t prealloc_limit_ = 0;  ///< extent frontier already reserved
 
-  WalEngineKind engine_kind_ = WalEngineKind::kSync;  ///< resolved at open
-  /// Engine completion thread's health handle (tombstoned in stop_engine;
-  /// a fresh one is registered per engine start so the name tracks the
-  /// engine actually running).
-  obs::HealthComponent* engine_heartbeat_ = nullptr;
-  /// Active engine (null in sync mode / during exclusive rewrites). The
-  /// pointer swap is under engine_mu_; cross-thread readers snapshot the
-  /// shared_ptr and never hold engine_mu_ across an engine call that can
-  /// block (stop() runs with engine_mu_ released — its completion thread
-  /// takes engine_mu_ in the durable-callback wrapper).
-  std::shared_ptr<WalCommitEngine> engine_;
-  mutable std::mutex engine_mu_;
-  WalCommitEngine::DurableFn durable_cb_;  ///< under engine_mu_
+  /// The flusher thread's health handle (tombstoned in stop_flusher; a
+  /// fresh one is registered per flusher start).
+  obs::HealthComponent* flusher_heartbeat_ = nullptr;
+  /// The running flusher (null while closed and during exclusive
+  /// rewrites). The pointer swap is under flusher_mu_; cross-thread
+  /// readers snapshot the shared_ptr and never hold flusher_mu_ across a
+  /// flusher call that can block (stop() runs with flusher_mu_ released —
+  /// the flusher thread takes flusher_mu_ in the durable-callback wrapper).
+  std::shared_ptr<WalFlusher> flusher_;
+  mutable std::mutex flusher_mu_;
+  WalFlusher::DurableFn durable_cb_;  ///< under flusher_mu_
   std::atomic<std::uint64_t> staged_lsn_{0};
   std::atomic<std::uint64_t> durable_lsn_{0};
-  /// Counters folded across engine restarts + sync-mode flushes (relaxed:
-  /// monotone stats, read by flush_stats from any thread).
+  /// Counters folded across flusher restarts (relaxed: monotone stats,
+  /// read by flush_stats from any thread).
   std::atomic<std::uint64_t> acc_flushes_{0};
   std::atomic<std::uint64_t> acc_flushed_bytes_{0};
 };

@@ -1006,8 +1006,8 @@ TEST(Cluster, RingAndDiskCatchupShipIdenticalFrameBytes) {
 }
 
 TEST(Cluster, ShipAtDurableReplicasConverge) {
-  // ship_at = kDurable: records reach the shipper only once the async
-  // engine's watermark covers them, so a replica can never apply bytes the
+  // ship_at = kDurable: records reach the shipper only once the WAL
+  // flusher's watermark covers them, so a replica can never apply bytes the
   // primary might lose in a crash. Replicas must still converge exactly —
   // the stream stays gapless and ordered, just delayed to durability.
   constexpr vertex_t kN = 500;
@@ -1018,7 +1018,6 @@ TEST(Cluster, ShipAtDurableReplicasConverge) {
   cfg.base.num_vertices = kN;
   cfg.base.wal_path = wal.str();
   cfg.base.wal_durability = WalDurability::kFdatasync;
-  cfg.base.wal_engine = service::WalEngine::kFlusher;
   cfg.base.ship_at = service::ShipPoint::kDurable;
   cfg.base.min_ops_per_cycle = 16;
   cfg.base.max_ops_per_cycle = 256;

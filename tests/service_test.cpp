@@ -3,16 +3,17 @@
 // (torn, corrupt and foreign logs), snapshot compaction equivalence, and
 // concurrent readers through all three ReadModes while submitters run.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -319,7 +320,7 @@ TEST(Service, WalRejectsForeignHeaderWithoutTouchingFile) {
 }
 
 TEST(Service, WalTreatsEmptyFileAsFresh) {
-  // A crash inside reset()'s truncate-then-header window leaves a zero-byte
+  // A crash inside open()'s create-then-header window leaves a zero-byte
   // file; restart must not be bricked by it.
   TempPath wal("empty.wal");
   { std::ofstream out(wal.str()); }  // create empty
@@ -539,89 +540,10 @@ TEST(Service, AdaptiveBatchSizerTracksTarget) {
   EXPECT_GE(sizer.budget(), 16u);  // floor respected
 }
 
-TEST(Service, WalEngineProbeLogsSelection) {
-  // The CI "WAL engine probe" step runs exactly this test and reads its
-  // output: which async engine the kernel supports and what kAuto resolves
-  // to under the leg's CPKC_WAL_ENGINE pin, so every CI log records which
-  // engine its suites actually exercised.
-  const bool uring = service::io_uring_engine_available();
-  const service::WalEngineKind auto_kind =
-      service::resolve_wal_engine(service::WalEngine::kAuto);
-  std::printf("[wal-engine-probe] io_uring=%s resolved(auto)=%s\n",
-              uring ? "available" : "unavailable",
-              service::wal_engine_name(auto_kind));
-  // Explicit pins resolve verbatim (the env override applies only to
-  // kAuto), and an unsupported io_uring request degrades to the flusher —
-  // it never reports an engine the kernel cannot run.
-  EXPECT_EQ(service::resolve_wal_engine(service::WalEngine::kSync),
-            service::WalEngineKind::kSync);
-  EXPECT_EQ(service::resolve_wal_engine(service::WalEngine::kFlusher),
-            service::WalEngineKind::kFlusher);
-  const service::WalEngineKind uring_kind =
-      service::resolve_wal_engine(service::WalEngine::kIoUring);
-  if (uring) {
-    EXPECT_EQ(uring_kind, service::WalEngineKind::kIoUring);
-  } else {
-    EXPECT_EQ(uring_kind, service::WalEngineKind::kFlusher);
-  }
-}
-
-TEST(Service, WalEngineEnvRejectsUnknownValue) {
-  // CPKC_WAL_ENGINE steers kAuto only. An unknown value is a configuration
-  // error, never a silent fallback; an empty value counts as unset.
-  struct EnvRestore {
-    std::optional<std::string> saved;
-    EnvRestore() {
-      if (const char* v = std::getenv("CPKC_WAL_ENGINE")) saved = v;
-    }
-    ~EnvRestore() {
-      if (saved) {
-        ::setenv("CPKC_WAL_ENGINE", saved->c_str(), 1);
-      } else {
-        ::unsetenv("CPKC_WAL_ENGINE");
-      }
-    }
-  } restore;
-  const service::WalEngineKind probed =
-      service::io_uring_engine_available() ? service::WalEngineKind::kIoUring
-                                           : service::WalEngineKind::kFlusher;
-  const auto resolve_auto = [] {
-    return service::resolve_wal_engine(service::WalEngine::kAuto);
-  };
-
-  ::setenv("CPKC_WAL_ENGINE", "bogus-engine", 1);
-  try {
-    static_cast<void>(resolve_auto());
-    ADD_FAILURE() << "unknown CPKC_WAL_ENGINE value was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("bogus-engine"), std::string::npos)
-        << e.what();
-  }
-  // A pinned engine ignores the variable, even a bad one.
-  EXPECT_EQ(service::resolve_wal_engine(service::WalEngine::kSync),
-            service::WalEngineKind::kSync);
-  // A service on the default (kAuto) engine refuses to start, before it
-  // creates its log.
-  TempPath wal("bad_engine.wal");
-  ServiceConfig cfg;
-  cfg.num_vertices = 10;
-  cfg.wal_path = wal.str();
-  EXPECT_THROW(KCoreService svc(cfg), std::invalid_argument);
-  EXPECT_FALSE(std::filesystem::exists(wal.str()));
-
-  ::setenv("CPKC_WAL_ENGINE", "", 1);
-  EXPECT_EQ(resolve_auto(), probed);
-  ::setenv("CPKC_WAL_ENGINE", "auto", 1);
-  EXPECT_EQ(resolve_auto(), probed);
-  ::setenv("CPKC_WAL_ENGINE", "sync", 1);
-  EXPECT_EQ(resolve_auto(), service::WalEngineKind::kSync);
-  ::unsetenv("CPKC_WAL_ENGINE");
-  EXPECT_EQ(resolve_auto(), probed);
-}
-
 TEST(Service, AsyncCrashReplayRestoresAckedOpsAllDurabilities) {
-  // The async engine must not weaken the crash contract at any durability
-  // level: every acked op is in the committed prefix the reopen replays.
+  // The pipelined flusher must not weaken the crash contract at any
+  // durability level: every acked op is in the committed prefix the reopen
+  // replays.
   constexpr vertex_t kN = 300;
   const auto edges = gen::barabasi_albert(kN, 4, 17);
   for (WalDurability level :
@@ -633,7 +555,6 @@ TEST(Service, AsyncCrashReplayRestoresAckedOpsAllDurabilities) {
     cfg.num_vertices = kN;
     cfg.wal_path = wal.str();
     cfg.wal_durability = level;
-    cfg.wal_engine = service::WalEngine::kFlusher;
     {
       KCoreService svc(cfg);
       std::vector<Ticket> tickets;
@@ -655,21 +576,24 @@ TEST(Service, AsyncCrashReplayRestoresAckedOpsAllDurabilities) {
   }
 }
 
-TEST(Service, AckNeverPrecedesDurabilityAtSyncLevels) {
-  // The pipelined commit defers acks to the durable watermark: at
-  // fdatasync/fsync, the moment wait() returns the acked LSN must already
-  // be covered by the WAL's durable LSN — an ack may never outrun its
-  // durability point.
+TEST(Service, AckNeverPrecedesDurabilityAtEveryLevel) {
+  // The pipelined commit defers acks to the durable watermark at every
+  // level: the moment wait() returns, the acked LSN must already be
+  // covered by the WAL's durable LSN — an ack may never outrun its
+  // durability point. kOsCache included: its contract is surviving a
+  // process crash, and bytes still queued for the flusher do not.
   constexpr vertex_t kN = 200;
   for (WalDurability level :
-       {WalDurability::kFdatasync, WalDurability::kFsync}) {
+       {WalDurability::kOsCache, WalDurability::kFdatasync,
+        WalDurability::kFsync}) {
     TempPath wal("ack_durable.wal");
     ServiceConfig cfg;
     cfg.num_vertices = kN;
     cfg.wal_path = wal.str();
     cfg.wal_durability = level;
-    cfg.wal_engine = service::WalEngine::kFlusher;
     KCoreService svc(cfg);
+    // Batched: several cycles sit pending together and the durable
+    // watermark releases them in groups.
     const auto edges = gen::erdos_renyi(kN, 600, 9);
     std::vector<Ticket> tickets;
     tickets.reserve(edges.size());
@@ -679,14 +603,107 @@ TEST(Service, AckNeverPrecedesDurabilityAtSyncLevels) {
     for (const Ticket& t : tickets) {
       std::uint64_t lsn = 0;
       ASSERT_TRUE(svc.wait(t, &lsn));
-      EXPECT_GE(svc.durable_lsn(), lsn);
+      EXPECT_GE(svc.durable_lsn(), lsn)
+          << "durability level " << static_cast<int>(level);
     }
+    // One op per cycle: each wait() races its own cycle's write, which is
+    // exactly where an ack issued at *applied* would land first.
+    std::size_t early_acks = 0;
+    for (const Edge& e : gen::erdos_renyi(kN, 300, 10)) {
+      std::uint64_t lsn = 0;
+      ASSERT_TRUE(svc.wait(svc.submit_insert(e.u, e.v), &lsn));
+      if (svc.durable_lsn() < lsn) ++early_acks;
+    }
+    EXPECT_EQ(early_acks, 0u) << "durability level " << static_cast<int>(level);
     svc.shutdown();
   }
 }
 
+/// Caps this process's file size (RLIMIT_FSIZE) with SIGXFSZ ignored, so a
+/// write past the cap fails with EFBIG instead of killing the process.
+/// Restores both on destruction.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    ok_ = ::sigaction(SIGXFSZ, &ignore, &saved_action_) == 0 &&
+          ::getrlimit(RLIMIT_FSIZE, &saved_limit_) == 0;
+    rlimit cap = saved_limit_;
+    cap.rlim_cur = bytes;
+    ok_ = ok_ && ::setrlimit(RLIMIT_FSIZE, &cap) == 0;
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_limit_);
+    ::sigaction(SIGXFSZ, &saved_action_, nullptr);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  struct sigaction saved_action_ {};
+  rlimit saved_limit_{};
+  bool ok_ = false;
+};
+
+TEST(Service, WalWriteFailureFailsClosedAndKeepsDurablePrefix) {
+  // A real pwrite failure in the WAL flusher: the file-size cap sits one
+  // byte past the committed log, so the next commit tears after one byte.
+  // The service must fail closed — no unacked op acks, the error names the
+  // WAL, reads keep serving — and the log must reopen to exactly the
+  // acked prefix, nothing past the last durable LSN.
+  TempPath wal("write_failure.wal");
+  constexpr vertex_t kN = 200;
+  ServiceConfig cfg;
+  cfg.num_vertices = kN;
+  cfg.wal_path = wal.str();
+  std::set<std::uint64_t> acked;
+  std::uint64_t durable_before = 0;
+  {
+    KCoreService svc(cfg);
+    std::vector<Ticket> tickets;
+    for (vertex_t v = 0; v + 1 < kN / 2; ++v) {
+      tickets.push_back(svc.submit_insert(v, v + 1));
+    }
+    for (const Ticket& t : tickets) ASSERT_TRUE(svc.wait(t));
+    acked = edge_keys(svc);
+    durable_before = svc.durable_lsn();
+    ASSERT_EQ(durable_before, svc.applied_lsn());
+    {
+      FileSizeCap cap(std::filesystem::file_size(wal.str()) + 1);
+      ASSERT_TRUE(cap.ok());
+      std::vector<Ticket> doomed;
+      try {
+        for (vertex_t v = kN / 2; v + 1 < kN; ++v) {
+          doomed.push_back(svc.submit_insert(v, v + 1));
+        }
+      } catch (const std::runtime_error&) {
+        // The failure stopped the service mid-loop: later submits throw.
+      }
+      ASSERT_FALSE(doomed.empty());
+      for (const Ticket& t : doomed) EXPECT_FALSE(svc.wait(t));
+    }
+    const service::ServiceStats stats = svc.stats();
+    EXPECT_NE(stats.apply_error.find("WAL"), std::string::npos)
+        << stats.apply_error;
+    EXPECT_EQ(svc.durable_lsn(), durable_before);
+    EXPECT_THROW(svc.submit_insert(0, 2), std::runtime_error);
+    // Reads keep serving the applied state, in every mode.
+    for (vertex_t v = 0; v < kN / 2; ++v) {
+      EXPECT_GT(svc.read_coreness(v), 0.0);
+      EXPECT_GT(svc.read_coreness(v, ReadMode::kSyncReads), 0.0);
+    }
+  }
+  KCoreService reopened(cfg);
+  EXPECT_EQ(reopened.commit_lsn(), durable_before);
+  EXPECT_EQ(edge_keys(reopened), acked);
+  reopened.shutdown();
+}
+
 TEST(Service, AsyncCompactPreservesUnshippedSuffixAllDurabilities) {
-  // checkpoint() stops and restarts the engine around the WAL compaction;
+  // checkpoint() stops and restarts the flusher around the WAL compaction;
   // records committed after the cut must survive in the compacted log and
   // replay on reopen, at every durability level.
   constexpr vertex_t kN = 250;
@@ -703,7 +720,6 @@ TEST(Service, AsyncCompactPreservesUnshippedSuffixAllDurabilities) {
     cfg.wal_path = wal.str();
     cfg.snapshot_path = snap.str();
     cfg.wal_durability = level;
-    cfg.wal_engine = service::WalEngine::kFlusher;
     {
       KCoreService svc(cfg);
       for (const Edge& e : phase_a) svc.submit_insert(e.u, e.v);
@@ -732,7 +748,6 @@ TEST(Service, AsyncEngineStatsExposeFlushPipeline) {
   cfg.num_vertices = kN;
   cfg.wal_path = wal.str();
   cfg.wal_durability = WalDurability::kFdatasync;
-  cfg.wal_engine = service::WalEngine::kFlusher;
   KCoreService svc(cfg);
   for (const Edge& e : gen::barabasi_albert(kN, 4, 23)) {
     svc.submit_insert(e.u, e.v);
